@@ -179,28 +179,56 @@ impl HermesStats {
     }
 }
 
+/// Installed partition pieces of one shadow rule: physical id and key.
+type Pieces = Vec<(RuleId, TernaryKey)>;
+
 /// A logical rule resident in the shadow table.
 #[derive(Clone, Debug)]
 struct ShadowEntry {
     original: Rule,
-    /// Partition pieces — physical id and key (empty for redundant rules).
-    pieces: Vec<(RuleId, TernaryKey)>,
+    /// Partition pieces (empty for redundant rules).
+    pieces: Pieces,
     /// Main rules it was cut against.
     cut_against: Vec<RuleId>,
 }
 
-/// A shadow-bound rule whose pieces have been planned (physical ids
-/// allocated, keys cut) but not yet written — the unit of work the batched
-/// admission path accumulates between device transactions.
+/// A rule the planner placed in the shadow table: partition cut, nothing
+/// written yet.
 #[derive(Clone, Debug)]
 struct PlannedShadow {
-    /// Position in the submitted batch (indexes the results vector).
-    idx: usize,
     rule: Rule,
-    pieces: Vec<(RuleId, TernaryKey)>,
+    /// Partition keys in write order (empty for a redundant rule).
+    keys: Vec<TernaryKey>,
     cut_against: Vec<RuleId>,
     intact: bool,
     guaranteed: bool,
+    /// Physical ids, allocated when the plan joins a batched transaction.
+    /// Empty on the per-op path, which allocates each id at its write.
+    ids: Vec<RuleId>,
+}
+
+/// The planner's verdict for one admitted rule.
+enum InsertPlan {
+    /// Land in the main table. `early` marks a divert made before
+    /// Algorithm 1 produced a partition (Gate Keeper pre-route or a
+    /// fragmentation blow-up): the per-op path returns straight after
+    /// such a landing, without its inline migration check.
+    Main {
+        route: Route,
+        guaranteed: bool,
+        early: bool,
+    },
+    /// Wholly subsumed by higher-priority main rules (Fig. 5(a)).
+    Redundant(PlannedShadow),
+    Shadow(PlannedShadow),
+}
+
+/// Maps a device rejection to the controller-visible error.
+fn device_error(e: TcamError) -> HermesError {
+    match e {
+        TcamError::Full => HermesError::DeviceFull,
+        e => HermesError::Device(e),
+    }
 }
 
 /// The Hermes agent for one switch.
@@ -563,14 +591,41 @@ impl HermesSwitch {
     // INVARIANT: intent-neutral chokepoint — every public caller records
     // the matching IntentOp itself before or after the physical write.
     fn dev_apply(&mut self, slice: usize, action: &ControlAction) -> Result<OpReport, TcamError> {
+        let (mut rep, penalty) = self.with_retry(|device| device.apply(slice, action))?;
+        rep.latency += penalty;
+        Ok(rep)
+    }
+
+    /// One batched device transaction with retry, as
+    /// [`dev_apply`](Self::dev_apply). The device batch is atomic — a
+    /// rejected transaction applied nothing — so retrying the identical
+    /// op sequence is always safe.
+    // INVARIANT: intent-neutral chokepoint — every public caller records
+    // the matching IntentOp itself before or after the physical write.
+    fn dev_apply_batch(
+        &mut self,
+        slice: usize,
+        ops: &[TcamOp],
+    ) -> Result<BatchOpReport, TcamError> {
+        let (mut rep, penalty) = self.with_retry(|device| device.apply_batch(slice, ops))?;
+        rep.latency += penalty;
+        Ok(rep)
+    }
+
+    /// The retry loop behind [`dev_apply`](Self::dev_apply) and
+    /// [`dev_apply_batch`](Self::dev_apply_batch). Returns the device's
+    /// report with the backoff time spent before it succeeded.
+    fn with_retry<R>(
+        &mut self,
+        mut op: impl FnMut(&mut TcamDevice) -> Result<R, TcamError>,
+    ) -> Result<(R, SimDuration), TcamError> {
         let mut penalty = SimDuration::ZERO;
         let mut attempt = 1u32;
         loop {
-            match self.device.apply(slice, action) {
-                Ok(mut rep) => {
+            match op(&mut self.device) {
+                Ok(rep) => {
                     self.recovery.on_success(self.clock);
-                    rep.latency += penalty;
-                    return Ok(rep);
+                    return Ok((rep, penalty));
                 }
                 Err(e) if e.is_transient() => {
                     self.recovery.stats.transient_failures += 1;
@@ -583,51 +638,9 @@ impl HermesSwitch {
                     attempt += 1;
                 }
                 // State errors (full / not-found / duplicate): retrying
-                // cannot change the answer. A lost control session opens
-                // the crash window instead of burning retries — the
-                // resync engine owns recovery from here.
-                Err(e) => {
-                    if matches!(e, TcamError::Disconnected) {
-                        self.note_crash();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One batched device transaction with retry, mirroring
-    /// [`dev_apply`](Self::dev_apply): transient failures back off
-    /// exponentially up to the policy's attempt budget, with the backoff
-    /// charged into the returned report's latency. The device batch is
-    /// atomic — a rejected transaction applied nothing — so retrying the
-    /// identical op sequence is always safe.
-    // INVARIANT: intent-neutral chokepoint — every public caller records
-    // the matching IntentOp itself before or after the physical write.
-    fn dev_apply_batch(&mut self, slice: usize, ops: &[TcamOp]) -> Result<BatchOpReport, TcamError> {
-        let mut penalty = SimDuration::ZERO;
-        let mut attempt = 1u32;
-        loop {
-            match self.device.apply_batch(slice, ops) {
-                Ok(mut rep) => {
-                    self.recovery.on_success(self.clock);
-                    rep.latency += penalty;
-                    return Ok(rep);
-                }
-                Err(e) if e.is_transient() => {
-                    self.recovery.stats.transient_failures += 1;
-                    if attempt >= self.recovery.policy.max_attempts {
-                        self.recovery.on_permanent_failure(self.clock);
-                        return Err(e);
-                    }
-                    self.recovery.stats.retries += 1;
-                    penalty += self.recovery.backoff(attempt);
-                    attempt += 1;
-                }
-                // Validation errors (full / not-found / duplicate): the
-                // answer cannot change on retry; the caller picks the
-                // fallback (per-op path or abort). A lost control session
-                // opens the crash window for the resync engine.
+                // cannot change the answer; the caller picks the fallback.
+                // A lost control session opens the crash window instead of
+                // burning retries — the resync engine owns recovery.
                 Err(e) => {
                     if matches!(e, TcamError::Disconnected) {
                         self.note_crash();
@@ -731,41 +744,96 @@ impl HermesSwitch {
     /// applied by the next tick or audit once the channel recovers.
     pub fn insert(&mut self, rule: Rule, now: SimTime) -> Result<ActionReport, HermesError> {
         self.clock = self.clock.max(now);
-        if rule.id.0 >= PHYS_BASE {
-            return Err(HermesError::IdOutOfRange(rule.id));
-        }
-        if self.contains(rule.id) {
-            return Err(HermesError::Duplicate(rule.id));
-        }
-        if self.recovery.is_degraded() {
-            let guaranteed = self.gate.qualifies(&rule);
-            self.recovery.defer(rule);
-            Route::Deferred.record();
-            return Ok(ActionReport {
-                latency: SimDuration::from_us(10.0),
-                detail: ReportDetail::Insert {
-                    route: Route::Deferred,
-                    pieces: 0,
-                    guaranteed,
-                    // Deferral is surfaced through the health counters,
-                    // not the violation count: during an outage there is
-                    // no latency to measure against the bound.
-                    violated: false,
-                },
-            });
+        if let Some(settled) = self.screen(rule, &mut BTreeSet::new()) {
+            return settled;
         }
         self.insert_live(rule, now)
+    }
+
+    /// Admission checks shared by [`insert`](Self::insert) and
+    /// [`admit_batch`](Self::admit_batch): the id range, duplicates
+    /// (against the installed rules and the ids in `seen`, which this
+    /// extends) and degraded-mode deferral. Returns the rule's outcome
+    /// when it is settled here, `None` when it proceeds to the live path.
+    fn screen(
+        &mut self,
+        rule: Rule,
+        seen: &mut BTreeSet<RuleId>,
+    ) -> Option<Result<ActionReport, HermesError>> {
+        if rule.id.0 >= PHYS_BASE {
+            return Some(Err(HermesError::IdOutOfRange(rule.id)));
+        }
+        if self.contains(rule.id) || !seen.insert(rule.id) {
+            return Some(Err(HermesError::Duplicate(rule.id)));
+        }
+        if !self.recovery.is_degraded() {
+            return None;
+        }
+        let guaranteed = self.gate.qualifies(&rule);
+        self.recovery.defer(rule);
+        Route::Deferred.record();
+        Some(Ok(ActionReport {
+            latency: SimDuration::from_us(10.0),
+            detail: ReportDetail::Insert {
+                route: Route::Deferred,
+                pieces: 0,
+                guaranteed,
+                // Deferral is surfaced through the health counters, not
+                // the violation count: during an outage there is no
+                // latency to measure against the bound.
+                violated: false,
+            },
+        }))
     }
 
     /// The live insert path (Gate Keeper healthy). Factored out so the
     /// degraded-mode queue can drain through the exact same logic.
     fn insert_live(&mut self, rule: Rule, now: SimTime) -> Result<ActionReport, HermesError> {
+        let lowest = self.lowest_live_priority();
+        let report = match self.plan_insert(rule, now, lowest, 0) {
+            InsertPlan::Main {
+                route,
+                guaranteed,
+                early,
+            } => {
+                let report = self.insert_to_main(rule, route, guaranteed);
+                if early {
+                    return report;
+                }
+                report
+            }
+            InsertPlan::Redundant(p) => Ok(self.commit_redundant(p)),
+            // A failed shadow write returns before the trigger check too.
+            InsertPlan::Shadow(p) => Ok(self.install_shadow_rule(p)?),
+        };
+        self.maybe_migrate_inline(now);
+        report
+    }
+
+    /// The routing decision for one admitted rule (Fig. 3): the Gate
+    /// Keeper's pre-route, Algorithm 1 against the main table, the
+    /// post-route capacity check and the worst-case-sum divert. `lowest`
+    /// is the live-priority floor for the §4.2 bypass; `pending` counts
+    /// shadow pieces planned but not yet written (a batched transaction
+    /// in flight), which the capacity and guarantee estimates must treat
+    /// as already installed.
+    fn plan_insert(
+        &mut self,
+        rule: Rule,
+        now: SimTime,
+        lowest: Option<Priority>,
+        pending: usize,
+    ) -> InsertPlan {
         self.stats.inserts += 1;
         self.manager.record_arrival();
         let guaranteed = self.gate.qualifies(&rule);
-
-        if let Some(route) = self.gate.pre_route(&rule, now, self.lowest_live_priority()) {
-            return self.insert_to_main(rule, route, guaranteed);
+        let main = |route, early| InsertPlan::Main {
+            route,
+            guaranteed,
+            early,
+        };
+        if let Some(route) = self.gate.pre_route(&rule, now, lowest) {
+            return main(route, true);
         }
 
         // Algorithm 1 against the main table, with a fragmentation budget:
@@ -774,132 +842,53 @@ impl HermesSwitch {
         // The budget equals the Gate Keeper's own partition cap — anything
         // beyond it would be diverted by post_route anyway.
         let limit = self.config.max_partitions;
-        let outcome = match partition_new_rule_bounded(&rule, &self.main_index, limit) {
-            Ok(o) => o,
-            Err(_) => {
-                return self.insert_to_main(rule, Route::MainTooFragmented, guaranteed);
-            }
+        let Ok(outcome) = partition_new_rule_bounded(&rule, &self.main_index, limit) else {
+            return main(Route::MainTooFragmented, true);
         };
-        let shadow_free = self.device.slice(SHADOW).table.free();
-        let mut route = self.gate.post_route(outcome.pieces.len(), shadow_free);
+        let n = outcome.pieces.len();
+        let shadow_free = self
+            .device
+            .slice(SHADOW)
+            .table
+            .free()
+            .saturating_sub(pending);
+        let mut route = self.gate.post_route(n, shadow_free);
 
         // A partitioned rule writes several shadow entries and the
         // guarantee covers their *sum*: divert to the main table when even
         // the worst-case cumulative cost cannot fit the bound. (Heavily
         // partitioned rules are exactly the ones §4.2 argues belong in the
         // main table.)
-        if route == Route::Shadow && outcome.pieces.len() > 1 {
-            let mut est = SimDuration::ZERO;
-            let occ = self.shadow_len();
-            for j in 0..outcome.pieces.len() {
-                est += self.device.model().worst_insert_latency(occ + j);
-            }
+        if route == Route::Shadow && n > 1 {
+            let occ = self.shadow_len() + pending;
+            let model = self.device.model();
+            let est: SimDuration = (0..n).map(|j| model.worst_insert_latency(occ + j)).sum();
             if est > self.config.guarantee {
                 route = Route::MainTooFragmented;
             }
         }
 
-        let report = match route {
-            Route::Redundant => {
-                // Logically installed; nothing written (Fig. 5(a)). Charged
-                // only agent processing time.
-                self.stats.redundant_inserts += 1;
-                let entry = ShadowEntry {
-                    original: rule,
-                    pieces: Vec::new(),
-                    cut_against: outcome.cut_against.clone(),
-                };
-                self.register_blockers(rule.id, &outcome.cut_against);
-                self.shadow.insert(rule.id, entry);
-                self.shadow_order.push(rule.id);
-                self.prio_add(rule.priority);
-                self.intent.record(IntentOp::Install(rule));
-                route.record();
-                Ok(ActionReport {
-                    latency: SimDuration::from_us(10.0),
-                    detail: ReportDetail::Insert {
-                        route,
-                        pieces: 0,
-                        guaranteed,
-                        violated: false,
-                    },
-                })
-            }
-            Route::Shadow => {
-                let mut latency = SimDuration::ZERO;
-                let mut piece_ids = Vec::with_capacity(outcome.pieces.len());
-                let mut failed: Option<TcamError> = None;
-                for key in &outcome.pieces {
-                    let pid = self.alloc_phys();
-                    let phys = Rule {
-                        id: pid,
-                        key: *key,
-                        ..rule
-                    };
-                    match self.dev_apply(SHADOW, &ControlAction::Insert(phys)) {
-                        Ok(rep) => {
-                            latency += rep.latency;
-                            piece_ids.push((pid, *key));
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    // Transaction rollback: remove the partial install so
-                    // no piece of a never-acknowledged rule can match.
-                    // Pieces the dead channel refuses to delete go to the
-                    // GC journal for idempotent replay.
-                    for (pid, _) in &piece_ids {
-                        self.dev_delete_or_journal(SHADOW, *pid);
-                    }
-                    self.recovery.stats.rollbacks += 1;
-                    return Err(match e {
-                        TcamError::Full => HermesError::DeviceFull,
-                        e => HermesError::Device(e),
-                    });
-                }
-                self.stats.shadow_inserts += 1;
-                self.stats.pieces_written += outcome.pieces.len() as u64;
-                if !outcome.is_intact(&rule.key) {
-                    self.stats.rules_cut += 1;
-                }
-                let violated = guaranteed && latency > self.config.guarantee;
-                if violated {
-                    self.stats.violations += 1;
-                }
-                let entry = ShadowEntry {
-                    original: rule,
-                    pieces: piece_ids,
-                    cut_against: outcome.cut_against.clone(),
-                };
-                self.register_blockers(rule.id, &outcome.cut_against);
-                self.shadow.insert(rule.id, entry);
-                self.shadow_order.push(rule.id);
-                self.prio_add(rule.priority);
-                self.intent.record(IntentOp::Install(rule));
-                route.record();
-                hermes_telemetry::observe("gatekeeper.shadow_insert_ns", latency.as_nanos());
-                Ok(ActionReport {
-                    latency,
-                    detail: ReportDetail::Insert {
-                        route,
-                        pieces: outcome.pieces.len(),
-                        guaranteed,
-                        violated,
-                    },
-                })
-            }
-            other => self.insert_to_main(rule, other, guaranteed),
+        let plan = PlannedShadow {
+            intact: outcome.is_intact(&rule.key),
+            rule,
+            keys: outcome.pieces,
+            cut_against: outcome.cut_against,
+            guaranteed,
+            ids: Vec::new(),
         };
+        match route {
+            Route::Redundant => InsertPlan::Redundant(plan),
+            Route::Shadow => InsertPlan::Shadow(plan),
+            route => main(route, false),
+        }
+    }
 
-        // Hermes-SIMPLE checks its threshold after every insert; the
-        // predictive manager additionally gets an emergency check so a
-        // burst arriving between ticks cannot silently fill the shadow
-        // (the threshold baseline deliberately has no such safety net —
-        // that naivety is exactly what §8.5 measures).
+    /// Hermes-SIMPLE checks its threshold after every admission; the
+    /// predictive manager additionally gets an emergency check so a burst
+    /// arriving between ticks cannot silently fill the shadow (the
+    /// threshold baseline deliberately has no such safety net — that
+    /// naivety is exactly what §8.5 measures).
+    fn maybe_migrate_inline(&mut self, now: SimTime) {
         let emergency = matches!(self.config.trigger, MigrationTrigger::Predictive { .. })
             && self.shadow_len() as f64 >= 0.9 * self.shadow_capacity() as f64;
         if (self
@@ -910,7 +899,6 @@ impl HermesSwitch {
         {
             self.migrate(now);
         }
-        report
     }
 
     /// Installs a rule directly in the main table, then re-cuts any
@@ -923,10 +911,7 @@ impl HermesSwitch {
         guaranteed: bool,
     ) -> Result<ActionReport, HermesError> {
         route.record();
-        let rep = self.dev_insert(MAIN, rule).map_err(|e| match e {
-            TcamError::Full => HermesError::DeviceFull,
-            e => HermesError::Device(e),
-        })?;
+        let rep = self.dev_insert(MAIN, rule).map_err(device_error)?;
         self.main_index.insert(rule);
         self.prio_add(rule.priority);
         self.intent.record(IntentOp::Install(rule));
@@ -956,17 +941,18 @@ impl HermesSwitch {
     }
 
     /// Inserts a whole slice of rules as a batched control-plane pipeline:
-    /// one Gate Keeper admission pass over the slice, then every run of
+    /// the same planner as [`insert`](Self::insert), with every run of
     /// consecutive shadow-bound rules pushed through a *single* device
     /// transaction (one handshake, one coalesced shift plan). Returns one
     /// outcome per rule, in submission order.
     ///
     /// Semantics match [`insert`](Self::insert) called once per rule, with
-    /// two documented deviations inherent to batching:
+    /// three documented deviations inherent to batching:
     ///
-    /// * the token bucket and low-priority bypass see the batch's single
-    ///   arrival instant and a pre-batch `lowest_live_priority` snapshot
-    ///   (see [`GateKeeper::admit_batch`]);
+    /// * the whole slice is screened (ids, duplicates — within the slice
+    ///   too — and degraded-mode deferral) before any rule is placed;
+    /// * the §4.2 bypass sees a pre-batch `lowest_live_priority` snapshot,
+    ///   and the token bucket the batch's single arrival instant;
     /// * the shared transaction's latency is split evenly across the
     ///   batch's shadow-bound rules, and the migration trigger is
     ///   evaluated once after the batch rather than after every rule.
@@ -981,164 +967,50 @@ impl HermesSwitch {
         now: SimTime,
     ) -> Vec<Result<ActionReport, HermesError>> {
         self.clock = self.clock.max(now);
-        let mut results: Vec<Option<Result<ActionReport, HermesError>>> =
-            (0..rules.len()).map(|_| None).collect();
-
-        // Phase 0: validation and degraded-mode deferral, in order.
-        let mut admitted: Vec<(usize, Rule)> = Vec::new();
-        let mut seen: BTreeSet<RuleId> = BTreeSet::new();
+        let mut results = vec![None; rules.len()];
+        let mut seen = BTreeSet::new();
+        let mut admitted = Vec::with_capacity(rules.len());
         for (i, rule) in rules.iter().enumerate() {
-            if rule.id.0 >= PHYS_BASE {
-                results[i] = Some(Err(HermesError::IdOutOfRange(rule.id)));
-                continue;
+            match self.screen(*rule, &mut seen) {
+                Some(settled) => results[i] = Some(settled),
+                None => admitted.push(i),
             }
-            if self.contains(rule.id) || !seen.insert(rule.id) {
-                results[i] = Some(Err(HermesError::Duplicate(rule.id)));
-                continue;
-            }
-            if self.recovery.is_degraded() {
-                let guaranteed = self.gate.qualifies(rule);
-                self.recovery.defer(*rule);
-                Route::Deferred.record();
-                results[i] = Some(Ok(ActionReport {
-                    latency: SimDuration::from_us(10.0),
-                    detail: ReportDetail::Insert {
-                        route: Route::Deferred,
-                        pieces: 0,
-                        guaranteed,
-                        violated: false,
-                    },
-                }));
-                continue;
-            }
-            admitted.push((i, *rule));
         }
 
-        // Phase 1: one Gate Keeper pass over the admitted slice.
+        // Consecutive shadow-bound plans accumulate into one pending
+        // transaction (`ops` holds one insert per planned piece); any
+        // main-table landing flushes it first (see the doc comment).
         let lowest = self.lowest_live_priority();
-        let admitted_rules: Vec<Rule> = admitted.iter().map(|(_, r)| *r).collect();
-        let routes = self.gate.admit_batch(&admitted_rules, now, lowest);
-
-        // Phase 2: route each rule, accumulating consecutive shadow-bound
-        // installs into one pending transaction. Any main-table landing
-        // flushes the pending batch first (see the doc comment).
-        let mut pending: Vec<PlannedShadow> = Vec::new();
-        let mut pending_ops: Vec<TcamOp> = Vec::new();
-        let mut pending_pieces = 0usize;
-        for ((idx, rule), route) in admitted.into_iter().zip(routes) {
-            self.stats.inserts += 1;
-            self.manager.record_arrival();
-            let guaranteed = self.gate.qualifies(&rule);
-            if let Some(route) = route {
-                self.flush_shadow_batch(&mut pending, &mut pending_ops, &mut results);
-                pending_pieces = 0;
-                results[idx] = Some(self.insert_to_main(rule, route, guaranteed));
-                continue;
-            }
-            let limit = self.config.max_partitions;
-            let outcome = match partition_new_rule_bounded(&rule, &self.main_index, limit) {
-                Ok(o) => o,
-                Err(_) => {
-                    self.flush_shadow_batch(&mut pending, &mut pending_ops, &mut results);
-                    pending_pieces = 0;
-                    results[idx] =
-                        Some(self.insert_to_main(rule, Route::MainTooFragmented, guaranteed));
-                    continue;
+        let mut pending: Vec<(usize, PlannedShadow)> = Vec::new();
+        let mut ops: Vec<TcamOp> = Vec::new();
+        for i in admitted {
+            let rule = rules[i];
+            match self.plan_insert(rule, now, lowest, ops.len()) {
+                InsertPlan::Main {
+                    route, guaranteed, ..
+                } => {
+                    self.flush_shadow_batch(&mut pending, &mut ops, &mut results);
+                    results[i] = Some(self.insert_to_main(rule, route, guaranteed));
                 }
-            };
-            // Capacity and guarantee estimates must count the pieces
-            // already planned but not yet written.
-            let shadow_free = self
-                .device
-                .slice(SHADOW)
-                .table
-                .free()
-                .saturating_sub(pending_pieces);
-            let mut route = self.gate.post_route(outcome.pieces.len(), shadow_free);
-            if route == Route::Shadow && outcome.pieces.len() > 1 {
-                let mut est = SimDuration::ZERO;
-                let occ = self.shadow_len() + pending_pieces;
-                for j in 0..outcome.pieces.len() {
-                    est += self.device.model().worst_insert_latency(occ + j);
-                }
-                if est > self.config.guarantee {
-                    route = Route::MainTooFragmented;
-                }
-            }
-            match route {
-                Route::Redundant => {
-                    // Installs nothing (Fig. 5(a)) — pure bookkeeping, no
-                    // flush needed.
-                    self.stats.redundant_inserts += 1;
-                    let entry = ShadowEntry {
-                        original: rule,
-                        pieces: Vec::new(),
-                        cut_against: outcome.cut_against.clone(),
-                    };
-                    self.register_blockers(rule.id, &outcome.cut_against);
-                    self.shadow.insert(rule.id, entry);
-                    self.shadow_order.push(rule.id);
-                    self.prio_add(rule.priority);
-                    self.intent.record(IntentOp::Install(rule));
-                    Route::Redundant.record();
-                    results[idx] = Some(Ok(ActionReport {
-                        latency: SimDuration::from_us(10.0),
-                        detail: ReportDetail::Insert {
-                            route: Route::Redundant,
-                            pieces: 0,
-                            guaranteed,
-                            violated: false,
-                        },
-                    }));
-                }
-                Route::Shadow => {
-                    let intact = outcome.is_intact(&rule.key);
-                    let mut piece_ids = Vec::with_capacity(outcome.pieces.len());
-                    for key in &outcome.pieces {
-                        let pid = self.alloc_phys();
-                        piece_ids.push((pid, *key));
-                        pending_ops.push(TcamOp::Insert(Rule {
-                            id: pid,
+                InsertPlan::Redundant(p) => results[i] = Some(Ok(self.commit_redundant(p))),
+                InsertPlan::Shadow(mut p) => {
+                    p.ids = p.keys.iter().map(|_| self.alloc_phys()).collect();
+                    ops.extend(p.ids.iter().zip(&p.keys).map(|(id, key)| {
+                        TcamOp::Insert(Rule {
+                            id: *id,
                             key: *key,
                             ..rule
-                        }));
-                    }
-                    pending_pieces += piece_ids.len();
-                    pending.push(PlannedShadow {
-                        idx,
-                        rule,
-                        pieces: piece_ids,
-                        cut_against: outcome.cut_against,
-                        intact,
-                        guaranteed,
-                    });
-                }
-                other => {
-                    self.flush_shadow_batch(&mut pending, &mut pending_ops, &mut results);
-                    pending_pieces = 0;
-                    results[idx] = Some(self.insert_to_main(rule, other, guaranteed));
+                        })
+                    }));
+                    pending.push((i, p));
                 }
             }
         }
-        self.flush_shadow_batch(&mut pending, &mut pending_ops, &mut results);
-
-        // Phase 3: one migration-trigger check for the whole batch (the
-        // per-insert check of `insert_live`, amortized).
-        let emergency = matches!(self.config.trigger, MigrationTrigger::Predictive { .. })
-            && self.shadow_len() as f64 >= 0.9 * self.shadow_capacity() as f64;
-        if (self
-            .manager
-            .wants_migration_inline(self.shadow_len(), self.shadow_capacity())
-            || emergency)
-            && !self.manager.is_busy(now)
-        {
-            self.migrate(now);
-        }
+        self.flush_shadow_batch(&mut pending, &mut ops, &mut results);
+        self.maybe_migrate_inline(now);
         results
             .into_iter()
-            .map(|r| {
-                r.expect("INVARIANT: every submitted rule is resolved by one admit_batch phase")
-            })
+            .map(|r| r.expect("INVARIANT: every submitted rule is screened or planned"))
             .collect()
     }
 
@@ -1149,7 +1021,7 @@ impl HermesSwitch {
     /// cannot sink its batch-mates.
     fn flush_shadow_batch(
         &mut self,
-        pending: &mut Vec<PlannedShadow>,
+        pending: &mut Vec<(usize, PlannedShadow)>,
         ops: &mut Vec<TcamOp>,
         results: &mut [Option<Result<ActionReport, HermesError>>],
     ) {
@@ -1161,32 +1033,118 @@ impl HermesSwitch {
         match self.dev_apply_batch(SHADOW, &ops) {
             Ok(rep) => {
                 let share = rep.latency.mul_f64(1.0 / planned.len() as f64);
-                for p in planned {
-                    let idx = p.idx;
-                    results[idx] = Some(self.commit_shadow_rule(p, share));
+                for (i, p) in planned {
+                    let pieces = p.ids.iter().copied().zip(p.keys.iter().copied()).collect();
+                    results[i] = Some(Ok(self.commit_shadow_rule(p, pieces, share)));
                 }
             }
             Err(_) => {
-                for p in planned {
-                    let idx = p.idx;
-                    results[idx] = Some(self.install_shadow_rule_singly(p));
+                for (i, p) in planned {
+                    results[i] = Some(self.install_shadow_rule(p));
                 }
             }
         }
     }
 
+    /// The per-op shadow install: writes the planned pieces one device op
+    /// at a time (rolling back on failure) and commits the rule.
+    fn install_shadow_rule(&mut self, p: PlannedShadow) -> Result<ActionReport, HermesError> {
+        let (pieces, latency) = self
+            .write_pieces(p.rule, &p.keys, &p.ids)
+            .map_err(|(e, _)| device_error(e))?;
+        Ok(self.commit_shadow_rule(p, pieces, latency))
+    }
+
+    /// Writes shadow pieces of `template` one device op at a time, in key
+    /// order. Each piece takes its physical id from `ids` when one was
+    /// preallocated, otherwise a fresh id allocated just before its write
+    /// — so a failed install consumes ids only up to the failing piece.
+    /// On the first failure the pieces already written are deleted again
+    /// (a refused delete goes to the GC journal), so no piece of an
+    /// unacknowledged write can match; the error comes back with the time
+    /// spent, rollback included.
+    fn write_pieces(
+        &mut self,
+        template: Rule,
+        keys: &[TernaryKey],
+        ids: &[RuleId],
+    ) -> Result<(Pieces, SimDuration), (TcamError, SimDuration)> {
+        let mut latency = SimDuration::ZERO;
+        let mut written = Vec::with_capacity(keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            let pid = match ids.get(i) {
+                Some(id) => *id,
+                None => self.alloc_phys(),
+            };
+            let phys = Rule {
+                id: pid,
+                key: *key,
+                ..template
+            };
+            match self.dev_apply(SHADOW, &ControlAction::Insert(phys)) {
+                Ok(rep) => {
+                    latency += rep.latency;
+                    written.push((pid, *key));
+                }
+                Err(e) => {
+                    for (pid, _) in &written {
+                        latency += self.dev_delete_or_journal(SHADOW, *pid);
+                    }
+                    self.recovery.stats.rollbacks += 1;
+                    return Err((e, latency));
+                }
+            }
+        }
+        Ok((written, latency))
+    }
+
+    /// Books a logical rule as shadow-resident with the given physical
+    /// pieces (none for a redundant rule) and records its intent.
+    // INVARIANT: the pieces are already on the device — intent is recorded
+    // here so the checkpoint sees exactly the rules whose pieces landed.
+    fn place_in_shadow(&mut self, rule: Rule, pieces: Pieces, cut_against: Vec<RuleId>) {
+        self.register_blockers(rule.id, &cut_against);
+        self.shadow.insert(
+            rule.id,
+            ShadowEntry {
+                original: rule,
+                pieces,
+                cut_against,
+            },
+        );
+        self.shadow_order.push(rule.id);
+        self.prio_add(rule.priority);
+        self.intent.record(IntentOp::Install(rule));
+    }
+
+    /// Bookkeeping for a redundant rule: logically installed, nothing
+    /// written (Fig. 5(a)), charged only agent processing time.
+    fn commit_redundant(&mut self, p: PlannedShadow) -> ActionReport {
+        self.stats.redundant_inserts += 1;
+        self.place_in_shadow(p.rule, Vec::new(), p.cut_against);
+        Route::Redundant.record();
+        ActionReport {
+            latency: SimDuration::from_us(10.0),
+            detail: ReportDetail::Insert {
+                route: Route::Redundant,
+                pieces: 0,
+                guaranteed: p.guaranteed,
+                violated: false,
+            },
+        }
+    }
+
     /// Bookkeeping for one shadow rule whose pieces are physically
-    /// installed (shared by the batched and per-op fallback paths).
-    // INVARIANT: the physical write already happened in the caller
-    // (batched flush or per-op fallback) — intent is recorded here so the
-    // checkpoint sees exactly the rules whose pieces reached the device.
+    /// installed, by a batched transaction or by the per-op writes.
     fn commit_shadow_rule(
         &mut self,
         p: PlannedShadow,
+        pieces: Pieces,
         latency: SimDuration,
-    ) -> Result<ActionReport, HermesError> {
+    ) -> ActionReport {
+        let n = pieces.len();
         self.stats.shadow_inserts += 1;
-        self.stats.pieces_written += p.pieces.len() as u64;
+        self.stats.pieces_written += n as u64;
         if !p.intact {
             self.stats.rules_cut += 1;
         }
@@ -1194,64 +1152,18 @@ impl HermesSwitch {
         if violated {
             self.stats.violations += 1;
         }
-        let pieces = p.pieces.len();
-        let entry = ShadowEntry {
-            original: p.rule,
-            pieces: p.pieces,
-            cut_against: p.cut_against.clone(),
-        };
-        self.register_blockers(p.rule.id, &p.cut_against);
-        self.shadow.insert(p.rule.id, entry);
-        self.shadow_order.push(p.rule.id);
-        self.prio_add(p.rule.priority);
-        self.intent.record(IntentOp::Install(p.rule));
+        self.place_in_shadow(p.rule, pieces, p.cut_against);
         Route::Shadow.record();
         hermes_telemetry::observe("gatekeeper.shadow_insert_ns", latency.as_nanos());
-        Ok(ActionReport {
+        ActionReport {
             latency,
             detail: ReportDetail::Insert {
                 route: Route::Shadow,
-                pieces,
+                pieces: n,
                 guaranteed: p.guaranteed,
                 violated,
             },
-        })
-    }
-
-    /// Per-op fallback for one planned shadow rule (reusing its allocated
-    /// physical ids): install each piece individually, rolling back the
-    /// partial transaction on failure — a replica of the `insert_live`
-    /// shadow arm.
-    fn install_shadow_rule_singly(
-        &mut self,
-        p: PlannedShadow,
-    ) -> Result<ActionReport, HermesError> {
-        let mut latency = SimDuration::ZERO;
-        let mut installed: Vec<(RuleId, TernaryKey)> = Vec::with_capacity(p.pieces.len());
-        for (pid, key) in &p.pieces {
-            let phys = Rule {
-                id: *pid,
-                key: *key,
-                ..p.rule
-            };
-            match self.dev_apply(SHADOW, &ControlAction::Insert(phys)) {
-                Ok(rep) => {
-                    latency += rep.latency;
-                    installed.push((*pid, *key));
-                }
-                Err(e) => {
-                    for (pid, _) in &installed {
-                        self.dev_delete_or_journal(SHADOW, *pid);
-                    }
-                    self.recovery.stats.rollbacks += 1;
-                    return Err(match e {
-                        TcamError::Full => HermesError::DeviceFull,
-                        e => HermesError::Device(e),
-                    });
-                }
-            }
         }
-        self.commit_shadow_rule(p, latency)
     }
 
     /// Narrows every shadow-resident rule of *strictly lower* priority
@@ -1293,7 +1205,7 @@ impl HermesSwitch {
             Some(e) => e.clone(),
             None => return SimDuration::ZERO,
         };
-        let mut kept: Vec<(RuleId, TernaryKey)> = Vec::with_capacity(entry.pieces.len());
+        let mut kept: Pieces = Vec::with_capacity(entry.pieces.len());
         let mut doomed: Vec<RuleId> = Vec::new();
         let mut replacements: Vec<TernaryKey> = Vec::new();
         for (pid, key) in &entry.pieces {
@@ -1313,31 +1225,12 @@ impl HermesSwitch {
         if kept.len() + replacements.len() > self.config.max_partitions {
             return self.evict_shadow_rule_to_main(&entry);
         }
-        let mut latency = SimDuration::ZERO;
-        let mut new_ids = Vec::with_capacity(replacements.len());
-        for key in &replacements {
-            let pid = self.alloc_phys();
-            let phys = Rule {
-                id: pid,
-                key: *key,
-                ..entry.original
-            };
-            match self.dev_apply(SHADOW, &ControlAction::Insert(phys)) {
-                Ok(rep) => {
-                    latency += rep.latency;
-                    new_ids.push((pid, *key));
-                }
-                Err(_) => {
-                    // Roll back the partial narrow and fall back to the
-                    // main table (correct, unguaranteed).
-                    for (pid, _) in &new_ids {
-                        latency += self.dev_delete_or_journal(SHADOW, *pid);
-                    }
-                    self.recovery.stats.rollbacks += 1;
-                    return latency + self.evict_shadow_rule_to_main(&entry);
-                }
-            }
-        }
+        let (new_ids, mut latency) = match self.write_pieces(entry.original, &replacements, &[]) {
+            Ok(done) => done,
+            // The partial narrow is rolled back: fall back to the main
+            // table (correct, unguaranteed).
+            Err((_, latency)) => return latency + self.evict_shadow_rule_to_main(&entry),
+        };
         for pid in &doomed {
             latency += self.dev_delete_or_journal(SHADOW, *pid);
         }
@@ -1371,34 +1264,14 @@ impl HermesSwitch {
             // insert-time bypass.
             Err(_) => return self.evict_shadow_rule_to_main(&entry),
         };
-        let mut latency = SimDuration::ZERO;
-
         // Install the new pieces first (make-before-break), then remove the
         // old ones, so the rule's coverage never drops below its target.
-        let mut new_ids = Vec::with_capacity(outcome.pieces.len());
-        for key in &outcome.pieces {
-            let pid = self.alloc_phys();
-            let phys = Rule {
-                id: pid,
-                key: *key,
-                ..entry.original
-            };
-            match self.dev_apply(SHADOW, &ControlAction::Insert(phys)) {
-                Ok(rep) => {
-                    latency += rep.latency;
-                    new_ids.push((pid, *key));
-                }
-                Err(_) => {
-                    // Shadow full (or channel dead) mid-repartition: roll
-                    // back the new pieces and fall back to the main table.
-                    for (pid, _) in &new_ids {
-                        latency += self.dev_delete_or_journal(SHADOW, *pid);
-                    }
-                    self.recovery.stats.rollbacks += 1;
-                    return latency + self.evict_shadow_rule_to_main(&entry);
-                }
-            }
-        }
+        let (new_ids, mut latency) = match self.write_pieces(entry.original, &outcome.pieces, &[]) {
+            Ok(done) => done,
+            // Shadow full (or channel dead) mid-repartition: the new
+            // pieces are rolled back; fall back to the main table.
+            Err((_, latency)) => return latency + self.evict_shadow_rule_to_main(&entry),
+        };
         for (pid, _) in &entry.pieces {
             latency += self.dev_delete_or_journal(SHADOW, *pid);
         }
@@ -1533,6 +1406,9 @@ impl HermesSwitch {
         }
         if let Some(new_prio) = priority {
             if new_prio != current.priority {
+                // The delete+insert legs are one modify, successful or
+                // not: their own counters are restored on either exit.
+                let legs = (self.stats.deletes, self.stats.inserts);
                 let del = self.delete(id, now)?;
                 let mut rule = current;
                 rule.priority = new_prio;
@@ -1554,12 +1430,11 @@ impl HermesSwitch {
                         {
                             self.recovery.defer(current);
                         }
+                        (self.stats.deletes, self.stats.inserts) = legs;
                         return Err(e);
                     }
                 };
-                // The delete+insert counts as one modify.
-                self.stats.deletes -= 1;
-                self.stats.inserts -= 1;
+                (self.stats.deletes, self.stats.inserts) = legs;
                 self.stats.modifies += 1;
                 return Ok(ActionReport {
                     latency: del.latency + ins.latency,
@@ -1711,31 +1586,21 @@ impl HermesSwitch {
     /// then its shadow pieces are deleted. Rules move in ascending priority
     /// order so remaining (higher-priority) shadow rules never need
     /// re-cutting mid-flight.
-    pub fn migrate(&mut self, now: SimTime) -> MigrationReport {
-        if self.is_down() {
-            // The session is dead mid-crash: every op would fail and the
-            // pass would abort anyway. Resync re-opens the path first.
-            return MigrationReport::default();
-        }
-        if self.config.batched_migration {
-            self.migrate_batched(now)
-        } else {
-            self.migrate_per_rule(now)
-        }
-    }
-
-    /// The batched migration pass: the whole shadow drain planned up front
+    ///
+    /// The whole drain is planned up front
     /// ([`RuleManager::plan_migration_batch`]) and pushed through two
     /// device transactions — one main-table insert batch (step 3 for every
     /// rule at once, make-before-break held batch-wise), then one shadow
-    /// piece-delete batch (step 4). Falls back to the per-rule path when
+    /// piece-delete batch (step 4). Falls back to the per-rule pass when
     /// the insert batch cannot apply atomically (main table full, or a
     /// stale duplicate needing per-rule self-healing), and aborts the pass
     /// wholesale on a transient channel failure — the rejected batch moved
     /// nothing, so the cut invariant is untouched.
-    fn migrate_batched(&mut self, now: SimTime) -> MigrationReport {
+    pub fn migrate(&mut self, now: SimTime) -> MigrationReport {
         let mut report = MigrationReport::default();
-        if self.shadow_order.is_empty() {
+        // A dead session mid-crash would fail every op and abort the pass
+        // anyway: resync re-opens the path first.
+        if self.is_down() || self.shadow_order.is_empty() {
             return report;
         }
         let items: Vec<(Rule, Vec<RuleId>)> = self
@@ -1799,13 +1664,10 @@ impl HermesSwitch {
         self.finish_migration(now, report)
     }
 
-    /// The legacy one-op-per-rule migration pass (ablation baseline, and
-    /// the fallback when a batched pass cannot apply atomically).
+    /// The one-op-per-rule migration pass: the fallback when the batched
+    /// pass cannot apply atomically, making partial progress rule by rule.
     fn migrate_per_rule(&mut self, now: SimTime) -> MigrationReport {
         let mut report = MigrationReport::default();
-        if self.shadow_order.is_empty() {
-            return report;
-        }
         // Ascending priority, FIFO among equals (sort is stable).
         let mut order = self.shadow_order.clone();
         order.sort_by_key(|id| self.shadow[id].original.priority);

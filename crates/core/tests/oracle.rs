@@ -233,9 +233,10 @@ fn lockstep_threshold_zero_constant_migration() {
 }
 
 // Satellite oracle: random whole rule *sets* (not op sequences) pushed
-// through Hermes — shadow routing, main-table migration and partitioned
-// rewrites included — must classify identically to one flat
-// priority-ordered table holding the same rules verbatim.
+// through Hermes — per-op or batched admission, shadow routing,
+// main-table migration and partitioned rewrites included — must classify
+// identically to one flat priority-ordered table holding the same rules
+// verbatim.
 hermes_util::check! {
     #![cases = 256]
 
@@ -249,6 +250,7 @@ hermes_util::check! {
             1..48,
         ),
         migrate_every in hermes_util::check::range(1usize..8),
+        batch in hermes_util::check::range(1usize..6),
     ) {
         let config = HermesConfig {
             rate_limit: Some(f64::INFINITY),
@@ -258,20 +260,36 @@ hermes_util::check! {
         let mut flat = TcamTable::new(1 << 14, PlacementStrategy::PackedLow);
         let mut now = SimTime::ZERO;
 
-        for (i, (bits, len, prio)) in rules.iter().enumerate() {
-            // Cluster into 10/8 so rules overlap and partitioning kicks in;
-            // tie action to priority so the flat table is unambiguous.
-            let addr = 0x0a00_0000u32 | (bits >> 8);
-            let r = Rule::new(
-                i as u64,
-                Ipv4Prefix::new(addr, *len).to_key(),
-                Priority(*prio),
-                Action::Forward(prio % 5 + 1),
-            );
+        // Cluster into 10/8 so rules overlap and partitioning kicks in;
+        // tie action to priority so the flat table is unambiguous.
+        let all: Vec<Rule> = rules
+            .iter()
+            .enumerate()
+            .map(|(i, (bits, len, prio))| {
+                Rule::new(
+                    i as u64,
+                    Ipv4Prefix::new(0x0a00_0000u32 | (bits >> 8), *len).to_key(),
+                    Priority(*prio),
+                    Action::Forward(prio % 5 + 1),
+                )
+            })
+            .collect();
+        // `batch = 1` drives the per-op insert path; larger chunks go
+        // through batched admission.
+        for (c, chunk) in all.chunks(batch).enumerate() {
             now += SimDuration::from_ms(1.0);
-            hermes.insert(r, now).unwrap();
-            flat.insert(r).unwrap();
-            if i % migrate_every == migrate_every - 1 {
+            if batch == 1 {
+                hermes.insert(chunk[0], now).unwrap();
+            } else {
+                for rep in hermes.admit_batch(chunk, now) {
+                    rep.unwrap();
+                }
+            }
+            for r in chunk {
+                flat.insert(*r).unwrap();
+            }
+            let first = c * batch;
+            if (first..first + chunk.len()).any(|i| i % migrate_every == migrate_every - 1) {
                 hermes.migrate(now);
             }
         }

@@ -6,7 +6,7 @@ use hermes_core::gatekeeper::Route;
 use hermes_core::prelude::*;
 use hermes_rules::fields::DST_SHIFT;
 use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, SwitchModel};
+use hermes_tcam::{FaultPlan, PlacementStrategy, SimDuration, SimTime, SwitchModel, TcamTable};
 
 fn rule(id: u64, pfx: &str, prio: u32, port: u32) -> Rule {
     let p: Ipv4Prefix = pfx.parse().unwrap();
@@ -340,53 +340,125 @@ fn admit_batch_flushes_before_main_landings() {
 }
 
 #[test]
-fn batched_migration_matches_per_rule_pass() {
-    let mk = |batched: bool| {
-        let config = HermesConfig {
-            rate_limit: Some(f64::INFINITY),
-            low_priority_bypass: false,
-            batched_migration: batched,
-            ..Default::default()
-        };
-        HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap()
+fn full_main_falls_back_to_a_partial_per_rule_migration() {
+    // An 8-entry main slice: six rules preloaded, so the four-rule drain
+    // cannot land as one batch (Full) and the per-rule pass moves what
+    // fits — in ascending priority order — then stops.
+    let model = SwitchModel {
+        capacity: 16,
+        ..SwitchModel::pica8_p3290()
     };
-    let mut fast = mk(true);
-    let mut slow = mk(false);
+    let config = HermesConfig {
+        rate_limit: Some(f64::INFINITY),
+        low_priority_bypass: false,
+        shadow_size: Some(8),
+        ..Default::default()
+    };
+    let mut sw = HermesSwitch::new(model, config).unwrap();
     let now = SimTime::ZERO;
-    for sw in [&mut fast, &mut slow] {
-        // A blocker in main, then a spread of shadow residents (one cut).
-        sw.insert(rule(1, "10.0.0.0/26", 50, 1), now).unwrap();
-        sw.migrate(now);
-        sw.insert(rule(2, "10.0.0.0/24", 5, 2), now).unwrap();
-        for i in 0..6u64 {
-            sw.insert(
-                rule(10 + i, &format!("2{i}.0.0.0/8"), 20 + i as u32, 3),
-                now,
-            )
-            .unwrap();
-        }
+    let mut installed = vec![rule(1, "10.0.0.0/26", 50, 1)];
+    for i in 0..5u64 {
+        installed.push(rule(2 + i, &format!("3{i}.0.0.0/8"), 40, 2));
     }
-    let frep = fast.migrate(now);
-    let srep = slow.migrate(now);
-    assert_eq!(frep.rules_migrated, srep.rules_migrated);
-    assert_eq!(frep.entries_written, srep.entries_written);
-    assert_eq!(frep.pieces_deleted, srep.pieces_deleted);
-    assert_eq!(frep.entries_saved, srep.entries_saved);
-    assert!(
-        frep.duration < srep.duration,
-        "batched drain must amortize the handshake: {} vs {}",
-        frep.duration,
-        srep.duration
-    );
-    assert_eq!(fast.shadow_len(), 0);
-    assert_eq!(fast.main_len(), slow.main_len());
-    for addr in ["10.0.0.5", "10.0.0.200", "20.1.2.3", "25.1.2.3", "9.9.9.9"] {
+    for r in &installed {
+        sw.insert(*r, now).unwrap();
+    }
+    assert_eq!(sw.migrate(now).rules_migrated, 6);
+    assert_eq!((sw.main_len(), sw.shadow_len()), (6, 0));
+
+    // Three intact shadow residents and one cut against rule 1.
+    let residents = [
+        rule(10, "20.0.0.0/8", 20, 3),
+        rule(11, "21.0.0.0/8", 21, 3),
+        rule(12, "10.0.0.0/24", 22, 4),
+        rule(13, "23.0.0.0/8", 23, 3),
+    ];
+    for r in residents {
+        sw.insert(r, now).unwrap();
+        installed.push(r);
+    }
+    assert_eq!(sw.shadow_len(), 5, "rule 12 splits into two pieces");
+
+    let rep = sw.migrate(now);
+    assert_eq!(rep.rules_migrated, 2, "only two rules fit the main slice");
+    assert_eq!(rep.entries_written, 2);
+    assert_eq!(sw.main_len(), 8);
+    assert_eq!(sw.shadow_len(), 3, "rule 12's two pieces and rule 13 stay");
+    assert_eq!(sw.logical_len(), 10);
+    assert_eq!(sw.stats().rules_migrated, 8);
+
+    let mut flat = TcamTable::new(64, PlacementStrategy::PackedLow);
+    for r in &installed {
+        flat.insert(*r).unwrap();
+    }
+    for addr in [
+        "10.0.0.5",
+        "10.0.0.100",
+        "10.0.0.200",
+        "20.1.2.3",
+        "21.1.2.3",
+        "23.1.2.3",
+        "32.1.2.3",
+        "9.9.9.9",
+    ] {
         assert_eq!(
-            fast.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
-            slow.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            sw.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            flat.peek(pkt(addr)).map(|r| (r.id, r.action)),
             "lookup diverged at {addr}"
         );
     }
+}
+
+#[test]
+fn failed_priority_modify_leaves_the_action_counters_unchanged() {
+    let mut sw = switch();
+    let now = SimTime::ZERO;
+    sw.insert(rule(1, "10.0.0.0/8", 5, 1), now).unwrap();
+    let before = sw.stats();
+    let mut plan = FaultPlan::quiet(1);
+    plan.write_fail_prob = 1.0;
+    sw.install_fault_plan(Some(plan));
+    assert!(matches!(
+        sw.modify(RuleId(1), None, Some(Priority(9)), now),
+        Err(HermesError::Device(_))
+    ));
+    let after = sw.stats();
+    assert_eq!(
+        (after.inserts, after.deletes, after.modifies),
+        (before.inserts, before.deletes, before.modifies),
+        "a failed modify counts as nothing"
+    );
+    // The old rule still stands.
+    assert_eq!(sw.get(RuleId(1)), Some(rule(1, "10.0.0.0/8", 5, 1)));
+}
+
+#[test]
+fn failed_shadow_insert_does_not_trigger_inline_migration() {
+    // Hermes-SIMPLE at threshold 0 migrates after every landed insert; a
+    // shadow write the device refuses lands nothing and must not start a
+    // pass of its own.
+    let config = HermesConfig {
+        rate_limit: Some(f64::INFINITY),
+        low_priority_bypass: false,
+        trigger: MigrationTrigger::Threshold { fraction: 0.0 },
+        ..Default::default()
+    };
+    let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap();
+    let now = SimTime::ZERO;
+    sw.insert(rule(1, "10.0.0.0/8", 5, 1), now).unwrap();
+    // Rule 1's pass is still draining, so rule 2 stays in the shadow.
+    sw.insert(rule(2, "11.0.0.0/8", 6, 1), now).unwrap();
+    assert_eq!((sw.stats().migrations, sw.shadow_len()), (1, 1));
+
+    let mut plan = FaultPlan::quiet(1);
+    plan.write_fail_prob = 1.0;
+    sw.install_fault_plan(Some(plan));
+    let later = now + SimDuration::from_ms(1000.0);
+    assert!(matches!(
+        sw.insert(rule(3, "12.0.0.0/8", 7, 1), later),
+        Err(HermesError::Device(_))
+    ));
+    assert_eq!((sw.stats().migrations, sw.shadow_len()), (1, 1));
 }
 
 #[test]

@@ -65,6 +65,9 @@ stage_clippy() {
 
 stage_test() {
     cargo test -q --offline --workspace
+    # The benchmark is its own cargo workspace: test it too, so a core API
+    # change that breaks it fails here rather than in a benchmark run.
+    cargo test --offline -q --manifest-path hermesbench/Cargo.toml
 }
 
 stage_bins() {
