@@ -50,6 +50,20 @@ fn bench_max_min() {
             |mut ft| black_box(ft.allocate_max_min(&topo).len()),
         );
     }
+    // The fabric regime: a handful of live flows on a small fat tree. A
+    // fresh clone per sample pays the first call's buffer growth; the warm
+    // case reallocates one table, as the simulator does on every event.
+    let topo = Topology::fat_tree(4, 10e9);
+    let base = flow_table_on(&topo, 8, 7);
+    b.run_batched(
+        "fat_tree4_8",
+        || base.clone(),
+        |mut ft| black_box(ft.allocate_max_min(&topo).len()),
+    );
+    let mut warm = base.clone();
+    b.run("fat_tree4_8_warm", || {
+        black_box(warm.allocate_max_min(&topo).len())
+    });
 }
 
 fn bench_paths() {

@@ -45,6 +45,30 @@ pub struct FlowTable {
     // BTreeMap: deterministic iteration order makes whole simulations
     // reproducible bit-for-bit given a seed.
     flows: BTreeMap<FlowId, ActiveFlow>,
+    scratch: MaxMinScratch,
+}
+
+/// The allocator's working state, cleared rather than reallocated on every
+/// call; a call touches only the links that carry a flow. Flows are
+/// addressed by slot: their rank in ascending [`FlowId`] order.
+#[derive(Clone, Debug, Default)]
+struct MaxMinScratch {
+    /// Per link: capacity not yet handed to frozen flows.
+    residual: Vec<f64>,
+    /// Per link: how many unfrozen flows cross it.
+    unfrozen: Vec<usize>,
+    /// Per link: the slots of the flows crossing it, ascending.
+    link_flows: Vec<Vec<usize>>,
+    /// Links that still carry an unfrozen flow, ascending.
+    active: Vec<LinkId>,
+    /// Every flow's distinct path links, back to back.
+    flow_links: Vec<LinkId>,
+    /// Per slot: its range in `flow_links`.
+    flow_span: Vec<(usize, usize)>,
+    /// Per slot: the allocated rate, final once `frozen`.
+    rate: Vec<f64>,
+    /// Per slot: whether the rate is fixed.
+    frozen: Vec<bool>,
 }
 
 impl FlowTable {
@@ -101,67 +125,101 @@ impl FlowTable {
 
     /// Progressive-filling max-min fair allocation. Returns the ids of
     /// flows whose rate changed (their completion events need
-    /// rescheduling). Every flow's `version` is bumped on change.
+    /// rescheduling), ascending. Every flow's `version` is bumped on change.
+    ///
+    /// A flow counts once on each distinct link of its path. The result is
+    /// a pure function of the flow set: the bottleneck is the first link in
+    /// ascending [`LinkId`] order with the minimal fair share, and its flows
+    /// freeze (subtracting from residuals) in ascending [`FlowId`] order.
     pub fn allocate_max_min(&mut self, topo: &Topology) -> Vec<FlowId> {
-        // Residual capacity and unfrozen flow count per link.
-        let mut residual: Vec<f64> = topo.links.iter().map(|l| l.capacity_bps).collect();
-        let mut link_flows: Vec<Vec<FlowId>> = vec![Vec::new(); topo.links.len()];
-        let mut unfrozen: BTreeMap<FlowId, ()> = BTreeMap::new();
-        for f in self.flows.values() {
-            for &l in &f.path {
-                link_flows[l].push(f.id);
-            }
-            if !f.path.is_empty() {
-                unfrozen.insert(f.id, ());
-            }
+        let links = topo.links();
+        let MaxMinScratch {
+            residual,
+            unfrozen,
+            link_flows,
+            active,
+            flow_links,
+            flow_span,
+            rate,
+            frozen,
+        } = &mut self.scratch;
+        if link_flows.len() < links.len() {
+            residual.resize(links.len(), 0.0);
+            unfrozen.resize(links.len(), 0);
+            link_flows.resize_with(links.len(), Vec::new);
         }
-        let mut rates: BTreeMap<FlowId, f64> = BTreeMap::new();
-        // Flows with empty paths (same-host transfers) run at a nominal
-        // local rate.
-        for f in self.flows.values() {
-            if f.path.is_empty() {
-                rates.insert(f.id, 100e9);
-            }
+        for &l in flow_links.iter() {
+            link_flows[l].clear();
         }
-        let mut unfrozen_per_link: Vec<usize> = link_flows.iter().map(|v| v.len()).collect();
+        active.clear();
+        flow_links.clear();
+        flow_span.clear();
+        rate.clear();
+        frozen.clear();
 
-        while !unfrozen.is_empty() {
-            // The bottleneck link: minimal fair share among links carrying
-            // unfrozen flows.
-            let mut best: Option<(f64, LinkId)> = None;
-            for (lid, &n) in unfrozen_per_link.iter().enumerate() {
-                if n == 0 {
-                    continue;
+        let mut unfrozen_flows = 0usize;
+        for (slot, f) in self.flows.values().enumerate() {
+            let start = flow_links.len();
+            for &l in &f.path {
+                let on_link = &mut link_flows[l];
+                if on_link.last() == Some(&slot) {
+                    continue; // the path repeats this link
                 }
-                let share = residual[lid] / n as f64;
-                if best.map(|(s, _)| share < s).unwrap_or(true) {
-                    best = Some((share, lid));
+                if on_link.is_empty() {
+                    active.push(l);
+                    residual[l] = links[l].capacity_bps;
+                    unfrozen[l] = 0;
                 }
+                on_link.push(slot);
+                unfrozen[l] += 1;
+                flow_links.push(l);
             }
+            flow_span.push((start, flow_links.len()));
+            // Flows with empty paths (same-host transfers) run at a nominal
+            // local rate.
+            rate.push(if f.path.is_empty() { 100e9 } else { 0.0 });
+            frozen.push(f.path.is_empty());
+            unfrozen_flows += usize::from(!f.path.is_empty());
+        }
+        active.sort_unstable();
+
+        while unfrozen_flows > 0 {
+            // The bottleneck link: minimal fair share among links carrying
+            // unfrozen flows. Links with none left drop out of the scan.
+            let mut best: Option<(f64, LinkId)> = None;
+            active.retain(|&l| {
+                let n = unfrozen[l];
+                if n == 0 {
+                    return false;
+                }
+                let share = residual[l] / n as f64;
+                if best.map(|(s, _)| share < s).unwrap_or(true) {
+                    best = Some((share, l));
+                }
+                true
+            });
             let Some((share, bottleneck)) = best else {
                 break;
             };
             // Freeze every unfrozen flow on the bottleneck at `share`.
-            let to_freeze: Vec<FlowId> = link_flows[bottleneck]
-                .iter()
-                .copied()
-                .filter(|id| unfrozen.contains_key(id))
-                .collect();
-            for id in to_freeze {
-                rates.insert(id, share.max(0.0));
-                unfrozen.remove(&id);
-                let flow = &self.flows[&id];
-                for &l in &flow.path {
+            for &slot in &link_flows[bottleneck] {
+                if frozen[slot] {
+                    continue;
+                }
+                frozen[slot] = true;
+                rate[slot] = share.max(0.0);
+                unfrozen_flows -= 1;
+                let (start, end) = flow_span[slot];
+                for &l in &flow_links[start..end] {
                     residual[l] = (residual[l] - share).max(0.0);
-                    unfrozen_per_link[l] -= 1;
+                    unfrozen[l] -= 1;
                 }
             }
         }
 
         // Apply, reporting changes.
         let mut changed = Vec::new();
-        for f in self.flows.values_mut() {
-            let new_rate = rates.get(&f.id).copied().unwrap_or(0.0);
+        for (f, &new_rate) in self.flows.values_mut().zip(rate.iter()) {
             if (new_rate - f.rate_bps).abs() > 1e-6 {
                 f.rate_bps = new_rate;
                 f.version += 1;
@@ -173,14 +231,14 @@ impl FlowTable {
 
     /// Utilization (allocated/capacity) per link under current rates.
     pub fn link_utilization(&self, topo: &Topology) -> Vec<f64> {
-        let mut load = vec![0.0; topo.links.len()];
+        let mut load = vec![0.0; topo.links().len()];
         for f in self.flows.values() {
             for &l in &f.path {
                 load[l] += f.rate_bps;
             }
         }
         load.iter()
-            .zip(&topo.links)
+            .zip(topo.links())
             .map(|(&l, link)| l / link.capacity_bps)
             .collect()
     }
@@ -293,6 +351,19 @@ mod tests {
         ft.insert(flow(1, 0, 0, Vec::new()));
         ft.allocate_max_min(&topo);
         assert!(ft.get(1).unwrap().rate_bps > 10e9);
+    }
+
+    #[test]
+    fn repeated_link_counts_once() {
+        // A path may repeat a link (host -> edge -> host over one cable);
+        // the flow still takes one share of it.
+        let topo = Topology::fat_tree(4, 10e9);
+        let mut ft = FlowTable::new();
+        ft.insert(flow(1, 0, 0, vec![0, 0]));
+        ft.insert(flow(2, 0, 0, vec![0]));
+        assert_eq!(ft.allocate_max_min(&topo), vec![1, 2]);
+        assert_eq!(ft.get(1).unwrap().rate_bps, 5e9);
+        assert_eq!(ft.get(2).unwrap().rate_bps, 5e9);
     }
 
     #[test]

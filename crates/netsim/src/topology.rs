@@ -14,11 +14,15 @@
 
 use hermes_util::rng::Rng;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Node index.
 pub type NodeId = usize;
 /// Link index (into [`Topology::links`]).
 pub type LinkId = usize;
+
+/// Cached hop count marking an unreachable node.
+const UNREACHABLE: u16 = u16::MAX;
 
 /// What a node is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,18 +55,29 @@ impl Link {
     }
 }
 
-/// A network: nodes, links, adjacency.
+/// A network: nodes, links, adjacency. Immutable once built, so the
+/// per-destination hop counts it caches never go stale.
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Node kinds, indexed by [`NodeId`].
-    pub kinds: Vec<NodeKind>,
+    kinds: Vec<NodeKind>,
     /// All links.
-    pub links: Vec<Link>,
+    links: Vec<Link>,
     /// Adjacency: per node, the incident link ids.
-    pub adj: Vec<Vec<LinkId>>,
+    adj: Vec<Vec<LinkId>>,
+    /// Per destination node, the BFS hop count from every node, filled on
+    /// first use (only destinations that paths are sampled to cost memory).
+    hops: Vec<OnceLock<Box<[u16]>>>,
     /// Human-readable name.
     pub name: String,
 }
+
+// The lazy hop cache must leave `Topology` cloneable, printable and
+// shareable across threads.
+const _: fn() = || {
+    fn assert_shareable<T: Clone + std::fmt::Debug + Send + Sync>() {}
+    assert_shareable::<Topology>();
+};
 
 impl Topology {
     fn new(name: &str) -> Self {
@@ -70,13 +85,17 @@ impl Topology {
             kinds: Vec::new(),
             links: Vec::new(),
             adj: Vec::new(),
+            hops: Vec::new(),
             name: name.into(),
         }
     }
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        // Hop counts are cached as u16 below `UNREACHABLE`.
+        assert!(self.kinds.len() < UNREACHABLE as usize, "too many nodes");
         self.kinds.push(kind);
         self.adj.push(Vec::new());
+        self.hops.push(OnceLock::new());
         self.kinds.len() - 1
     }
 
@@ -91,6 +110,21 @@ impl Topology {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// What node `n` is.
+    pub fn kind(&self, n: NodeId) -> NodeKind {
+        self.kinds[n]
+    }
+
+    /// All links, indexed by [`LinkId`].
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// The link ids incident to node `n`.
+    pub fn incident(&self, n: NodeId) -> &[LinkId] {
+        &self.adj[n]
     }
 
     /// Indices of all hosts.
@@ -336,6 +370,16 @@ impl Topology {
         dist
     }
 
+    /// The cached hop counts to `dst` (`UNREACHABLE` where unreachable).
+    fn hops_to(&self, dst: NodeId) -> &[u16] {
+        self.hops[dst].get_or_init(|| {
+            self.distances_to(dst)
+                .into_iter()
+                .map(|d| u16::try_from(d).unwrap_or(UNREACHABLE))
+                .collect()
+        })
+    }
+
     /// A uniformly random shortest path from `src` to `dst` as a list of
     /// link ids, optionally avoiding a link (falls back to using it if no
     /// shortest path avoids it). Hosts cannot be transited.
@@ -349,34 +393,33 @@ impl Topology {
         if src == dst {
             return Some(Vec::new());
         }
-        let dist = self.distances_to(dst);
-        if dist[src] == usize::MAX {
+        let dist = self.hops_to(dst);
+        if dist[src] == UNREACHABLE {
             return None;
         }
-        let mut path = Vec::with_capacity(dist[src]);
+        let mut path = Vec::with_capacity(dist[src] as usize);
         let mut cur = src;
         while cur != dst {
-            let mut candidates: Vec<LinkId> = self.adj[cur]
-                .iter()
-                .copied()
-                .filter(|&lid| {
-                    let next = self.links[lid].other(cur);
-                    // Never transit through a host.
-                    (self.kinds[next] == NodeKind::Switch || next == dst)
-                        && dist[next] == dist[cur] - 1
-                })
-                .collect();
-            if candidates.is_empty() {
+            let adj = &self.adj[cur];
+            let toward = |lid: LinkId| {
+                let next = self.links[lid].other(cur);
+                // Never transit through a host.
+                (self.kinds[next] == NodeKind::Switch || next == dst) && dist[next] == dist[cur] - 1
+            };
+            let n = adj.iter().filter(|&&l| toward(l)).count();
+            if n == 0 {
                 return None;
             }
-            if let Some(bad) = avoid {
-                let filtered: Vec<LinkId> =
-                    candidates.iter().copied().filter(|&l| l != bad).collect();
-                if !filtered.is_empty() {
-                    candidates = filtered;
-                }
-            }
-            let pick = candidates[rng.gen_range(0..candidates.len())];
+            // Skip `avoid` unless it is the only candidate. Counting and
+            // taking the k-th draws exactly as indexing a collected list.
+            let skip = avoid.filter(|&bad| n > 1 && adj.contains(&bad) && toward(bad));
+            let k = rng.gen_range(0..n - usize::from(skip.is_some()));
+            let pick = adj
+                .iter()
+                .copied()
+                .filter(|&l| Some(l) != skip && toward(l))
+                .nth(k)
+                .expect("INVARIANT: k is below the candidate count");
             path.push(pick);
             cur = self.links[pick].other(cur);
         }
@@ -412,7 +455,7 @@ mod tests {
         // 16 pods × 16 switches + 64 cores = 320.
         assert_eq!(t.switches().len(), 320);
         // Links: 1024 host + 16*8*8 edge-agg + 16*8*8 agg-core = 3072.
-        assert_eq!(t.links.len(), 3072);
+        assert_eq!(t.links().len(), 3072);
     }
 
     #[test]
@@ -451,10 +494,10 @@ mod tests {
             let mut cur = s;
             for &lid in &p {
                 assert!(
-                    t.links[lid].a == cur || t.links[lid].b == cur,
+                    t.links()[lid].a == cur || t.links()[lid].b == cur,
                     "discontiguous"
                 );
-                cur = t.links[lid].other(cur);
+                cur = t.links()[lid].other(cur);
             }
             assert_eq!(cur, d);
         }
@@ -523,7 +566,7 @@ mod tests {
         let sws = t.switches_on_path(hosts[0], &p);
         assert_eq!(sws.len(), 5, "inter-pod path crosses 5 switches");
         for s in sws {
-            assert_eq!(t.kinds[s], NodeKind::Switch);
+            assert_eq!(t.kind(s), NodeKind::Switch);
         }
     }
 
@@ -533,7 +576,7 @@ mod tests {
         assert_eq!(t.hosts().len(), 32);
         assert_eq!(t.switches().len(), 6);
         // 32 host links + 4*2 fabric links.
-        assert_eq!(t.links.len(), 40);
+        assert_eq!(t.links().len(), 40);
         let mut rng = StdRng::seed_from_u64(2);
         let hosts = t.hosts();
         // Cross-leaf: host → leaf → spine → leaf → host = 4 hops.
